@@ -847,12 +847,22 @@ func (f *Frontend) answer(q wire.Query) wire.Reply {
 	return f.sched.submit(q)
 }
 
-// degradedLocked builds the retryable degraded reply naming the absent
-// seats, or returns ok=true when every seat is filled.
-func (f *Frontend) degradedLocked(verb string) (wire.Reply, bool) {
+// absentLocked builds the retryable degraded reply naming the absent seats
+// among ids (every seat when ids is nil) — "cluster degraded (p of k
+// nodes): <verb> node(s) [...]" — or returns ok=true when all of them are
+// present. Callers hold f.mu.
+func (f *Frontend) absentLocked(ids []int, verb string) (wire.Reply, bool) {
 	var absent []int
 	var cause error
-	for _, s := range f.slots {
+	n := len(ids)
+	if ids == nil {
+		n = f.k
+	}
+	for i := 0; i < n; i++ {
+		s := f.slots[i]
+		if ids != nil {
+			s = f.slots[ids[i]]
+		}
 		if !s.present {
 			absent = append(absent, s.id)
 			if cause == nil {

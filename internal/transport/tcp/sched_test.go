@@ -2,6 +2,8 @@ package tcp
 
 import (
 	"errors"
+	"io"
+	"net"
 	"strings"
 	"sync"
 	"testing"
@@ -270,4 +272,68 @@ func TestEvictFailsOnlyInFlightEpochs(t *testing.T) {
 	// Heal and verify the cluster answers bit-identically again.
 	c.startNode(&blockingHandler{entered: entered, release: release}, -1)
 	checkEcho(t, waitHealthy(t, free, scalarQuery(wire.OpKNN, 1, 8)), k, 8, leader)
+}
+
+// pipeSeatedFrontend builds a serving frontend over k in-memory control
+// connections whose node ends drain and discard every dispatch frame, so
+// a test can dispatch waves and hand-craft the frames the nodes answer.
+func pipeSeatedFrontend(t *testing.T, k int) *Frontend {
+	t.Helper()
+	f := &Frontend{k: k}
+	f.sched = newScheduler(f, FrontendOptions{})
+	for id := 0; id < k; id++ {
+		feEnd, nodeEnd := net.Pipe()
+		go io.Copy(io.Discard, nodeEnd)
+		t.Cleanup(func() {
+			feEnd.Close()
+			nodeEnd.Close()
+		})
+		f.slots = append(f.slots, &feSlot{id: id, conn: feEnd, present: true})
+	}
+	return f
+}
+
+// TestDeliverEvictsMalformedResult checks each way a result frame can
+// contradict its epoch: the wrong node id, a mesh epoch result whose entry
+// count is not the batch size, and a direct-wave result whose entry count
+// is not the length of the sub-batch its seat was sent. Each must evict
+// the sender's seat and fail the query with a retryable degraded reply.
+func TestDeliverEvictsMalformedResult(t *testing.T) {
+	q := scalarQuery(wire.OpKNN, 1, 5, 6, 7)
+	entries := func(n int) []wire.NodeQueryResult { return make([]wire.NodeQueryResult, n) }
+	cases := []struct {
+		name string
+		subs [][]int         // the wave's sub-batches; nil for a mesh epoch
+		nr   wire.NodeResult // what seat 1 answers
+	}{
+		{"wrong node id", nil, wire.NodeResult{Node: 0, Queries: entries(3)}},
+		{"mesh entry count", nil, wire.NodeResult{Node: 1, Queries: entries(2)}},
+		{"direct entry count", [][]int{{0, 1, 2}, {0, 2}}, wire.NodeResult{Node: 1, Queries: entries(3)}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			f := pipeSeatedFrontend(t, 2)
+			job, rep := f.sched.dispatchWave(q, c.subs)
+			if job == nil {
+				t.Fatalf("dispatch failed: %s", rep.Err)
+			}
+			nr := c.nr
+			nr.Epoch = job.epoch
+			f.sched.deliver(1, f.slots[1].gen, wire.EncodeNodeResult(nr))
+			select {
+			case <-job.done:
+			case <-time.After(5 * time.Second):
+				t.Fatal("query still pending after a malformed result")
+			}
+			if !job.rep.Degraded || !strings.Contains(job.rep.Err, "node 1 sent a malformed result") {
+				t.Fatalf("reply %+v, want a degraded failure naming the malformed result", job.rep)
+			}
+			f.mu.Lock()
+			present := f.slots[1].present
+			f.mu.Unlock()
+			if present {
+				t.Fatal("seat 1 still present after a malformed result")
+			}
+		})
+	}
 }

@@ -20,14 +20,16 @@ import (
 // waits for another's round trip), the scheduler keeps up to Window epochs
 // in flight at once. Admission assigns each epoch its ordinal — and with it
 // the deterministic per-epoch seed DeriveSeed(sessionSeed, ordinal) — in
-// arrival order under the frontend lock, writes the dispatch to every
-// seated node, and registers a collation job; the per-node control pumps
-// push each arriving result or error frame to its job by epoch ordinal, so
-// replies complete out of order without any epoch waiting on an unrelated
-// one. Admission beyond the window blocks (backpressure on the client
-// connection) until a slot frees. Answers are bit-identical to serialized
-// execution: every algorithm is exact, and the ordinal-derived seeds steer
-// only sampling and round counts, never results.
+// arrival order under the frontend lock, registers a collation job, and
+// writes the dispatch to the epoch's targets: every seat for a mesh epoch,
+// the contacted seats for a pruned query's direct wave (dispatchWave
+// serves both). The per-node control pumps push each arriving result or
+// error frame to its job by epoch ordinal, so replies complete out of order
+// without any epoch waiting on an unrelated one. Admission beyond the window
+// blocks (backpressure on the client connection) until a slot frees.
+// Answers are bit-identical to serialized execution: every algorithm is
+// exact, and the ordinal-derived seeds steer only sampling and round
+// counts, never results.
 //
 // Server-side batching. With ServerBatch enabled, concurrently arriving
 // single-point queries that agree on (op, ℓ, point tag) coalesce into one
@@ -193,17 +195,12 @@ func newScheduler(f *Frontend, opts FrontendOptions) *scheduler {
 type epochJob struct {
 	epoch uint64
 	q     wire.Query
-	// direct marks one wave of a pruned query: the epoch ran without a
-	// mesh round, its node results are collected raw in shares (per-seat
-	// attribution intact, for the pruned path's own merge and aggregation),
-	// and its window slot is owned by runPruned across both waves rather
-	// than by this job.
-	direct bool
-	// sub maps each direct wave target to the original batch indices of the
-	// points it was sent — its expected result is one entry per index, in
-	// this order. Set on every direct job; nil on scatter epochs (every
-	// node answers the full batch).
-	sub map[int][]int
+	// sub is a direct (no-mesh) wave's per-seat sub-batches, indexed by
+	// seat id: seat id was sent the points sub[id] of q, in this order, and
+	// owes one result entry per point; an empty sub-batch means the seat
+	// was not contacted. Nil on a mesh epoch, where every seat answers the
+	// whole batch.
+	sub [][]int
 	// shares collects a direct wave's raw per-node results for the pruned
 	// path. Guarded by scheduler.mu until done closes, immutable after.
 	shares []wire.NodeResult
@@ -219,6 +216,11 @@ type epochJob struct {
 	done      chan struct{}
 	span      *obs.Span // epoch trace span; nil when tracing is off
 }
+
+// direct reports whether the job is one direct (no-mesh) wave of a pruned
+// query: its node results are collected raw in shares, per-seat
+// attribution intact, for the pruned path's own merge and aggregation.
+func (job *epochJob) direct() bool { return job.sub != nil }
 
 // expectSet records that connection incarnation gen of seat id owes this
 // epoch a frame.
@@ -262,7 +264,7 @@ func (job *epochJob) merge(nr wire.NodeResult) {
 	}
 	job.rep.Messages += nr.Messages
 	job.rep.Bytes += nr.Bytes
-	if job.direct {
+	if job.direct() {
 		job.shares = append(job.shares, nr)
 		return
 	}
@@ -321,91 +323,170 @@ func (sched *scheduler) execute(q wire.Query) wire.Reply {
 	return sched.run(q)
 }
 
-// run executes q as one query epoch: admission (window backpressure),
-// dispatch (ordinal assignment + job registration) and collation wait.
+// run executes q as one mesh epoch: admission (window backpressure), then
+// one all-seat wave and its collation.
 func (sched *scheduler) run(q wire.Query) wire.Reply {
 	// Degraded fast-fail before admission: a probe during an outage answers
 	// immediately — even while the window is full of doomed epochs — and
 	// consumes neither an ordinal nor a window slot.
 	f := sched.f
 	f.mu.Lock()
-	rep, ok := f.degradedLocked("waiting for")
+	rep, ok := f.absentLocked(nil, "waiting for")
 	f.mu.Unlock()
 	if !ok {
 		return rep
 	}
+	if !sched.acquire() {
+		return closingReply()
+	}
+	defer sched.release()
+	_, rep = sched.wave(q, nil)
+	return rep
+}
 
+// acquire takes one window slot, blocking while the window is full; false
+// means the scheduler closed. The caller owns the slot until release.
+func (sched *scheduler) acquire() bool {
 	sched.mu.Lock()
+	defer sched.mu.Unlock()
 	for !sched.closed && sched.count >= sched.window {
 		sched.cond.Wait()
 	}
 	if sched.closed {
-		sched.mu.Unlock()
-		return closingReply()
+		return false
 	}
 	sched.count++
 	sched.fm.occupancy.Observe(int64(sched.count))
 	sched.noteCountLocked()
-	sched.mu.Unlock()
+	return true
+}
 
-	job, rep := sched.dispatch(q)
+// release returns a window slot taken by acquire.
+func (sched *scheduler) release() {
+	sched.mu.Lock()
+	// A concurrent shutdown already reset the counter (and closed gates all
+	// admission), so only a live scheduler's slot returns.
+	if !sched.closed {
+		sched.count--
+		sched.noteCountLocked()
+		sched.cond.Broadcast()
+	}
+	sched.mu.Unlock()
+}
+
+// wave dispatches one wave of q (see dispatchWave) and waits for its
+// collation. It returns the collated job, or a nil job and the reply to
+// send instead when the wave could not run or failed.
+func (sched *scheduler) wave(q wire.Query, subs [][]int) (*epochJob, wire.Reply) {
+	job, rep := sched.dispatchWave(q, subs)
 	if job == nil {
-		sched.mu.Lock()
-		// A concurrent shutdown already reset the counter (and closed
-		// gates all admission), so only a live scheduler's slot returns.
-		if !sched.closed {
-			sched.count--
-			sched.noteCountLocked()
-			sched.cond.Broadcast()
-		}
-		sched.mu.Unlock()
-		return rep
+		return nil, rep
 	}
 	<-job.done
 	job.span.Finish()
-	return job.rep
+	if job.rep.Err != "" {
+		return nil, job.rep
+	}
+	return job, job.rep
 }
 
-// dispatch assigns the epoch ordinal, ships the dispatch frame to every
-// seated node and registers the collation job. It returns a nil job (and
-// the reply to send instead) when the query cannot run — the cluster is
-// degraded, closing, or every dispatch write failed on the spot. The job is
-// registered before the first dispatch write, so a result can never arrive
-// unclaimed; both locks are held across the writes, which keeps seat
-// generations consistent with the expectation set.
-func (sched *scheduler) dispatch(q wire.Query) (*epochJob, wire.Reply) {
+// dispatchWave assigns the next epoch ordinal and ships one wave of q. It is
+// the only place an ordinal is consumed, and it serves both executors:
+//
+//   - subs == nil: a mesh epoch (the paper's Algorithm 2). Every seat is a
+//     target and must be present, and all of them receive one KindDispatch
+//     frame, encoded once.
+//   - subs != nil: one direct (no-mesh) wave of a pruned query. Seat id
+//     receives exactly the sub-batch subs[id] of q's points in a
+//     KindDispatchDirect frame, and a seat with an empty sub-batch is not
+//     contacted. Targets whose sub-batch is the whole batch share one
+//     encoded frame. Only the targets must be present: any other absent
+//     seat is invisible here, because the admission test already proved
+//     its shard irrelevant to this wave.
+//
+// It returns a nil job (and the reply to send instead) when the wave cannot
+// run — a target is absent, the frontend is closing, or a frame is too
+// large. The job is registered with its full expectation set before the
+// first write, so a result can never arrive unclaimed; f.mu is held across
+// the writes, which keeps seat generations consistent with the expectation
+// set.
+func (sched *scheduler) dispatchWave(q wire.Query, subs [][]int) (*epochJob, wire.Reply) {
 	f := sched.f
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.slots == nil || f.closed.Load() {
 		return nil, closingReply()
 	}
-	if rep, ok := f.degradedLocked("waiting for"); !ok {
+	targets := make([]int, 0, f.k)
+	for id := 0; id < f.k; id++ {
+		if subs == nil || len(subs[id]) > 0 {
+			targets = append(targets, id)
+		}
+	}
+	verb := "waiting for"
+	if subs != nil {
+		verb = "pruned query needs"
+	}
+	if rep, ok := f.absentLocked(targets, verb); !ok {
 		// No epoch is consumed: the query never ran, so the seed schedule
 		// of the successful query stream is unchanged by the outage.
 		return nil, rep
 	}
 	f.epoch++
 	epoch := f.epoch
-	// One pooled encode, fanned out to every node: the framed bytes are
-	// read-only across the concurrent writes below.
-	dw := wire.GetWriter()
-	dw.BeginFrame()
-	wire.AppendDispatch(dw, epoch, q)
-	dispatch, ferr := dw.FinishFrame()
-	if ferr != nil {
-		wire.PutWriter(dw)
-		return nil, wire.Reply{Err: fmt.Sprintf("dispatch too large: %v", ferr)}
+	// Frames are built in pooled writers and stay checked out until the
+	// writes are done, because the framed bytes alias their buffers.
+	writers := make([]*wire.Writer, 0, len(targets))
+	defer func() {
+		for _, w := range writers {
+			wire.PutWriter(w)
+		}
+	}()
+	frames := make([][]byte, len(targets))
+	var shared []byte // the whole-batch frame, read-only across the writes
+	var pts [][]byte
+	for i, id := range targets {
+		whole := subs == nil || len(subs[id]) == len(q.Points)
+		if whole && shared != nil {
+			frames[i] = shared
+			continue
+		}
+		wq := q
+		if !whole {
+			pts = pts[:0]
+			for _, pi := range subs[id] {
+				pts = append(pts, q.Points[pi])
+			}
+			wq.Points = pts
+		}
+		w := wire.GetWriter()
+		writers = append(writers, w)
+		w.BeginFrame()
+		if subs == nil {
+			wire.AppendDispatch(w, epoch, wq)
+		} else {
+			wire.AppendDispatchDirect(w, epoch, wq)
+		}
+		frame, err := w.FinishFrame()
+		if err != nil {
+			return nil, wire.Reply{Err: fmt.Sprintf("dispatch too large: %v", err)}
+		}
+		frames[i] = frame
+		if whole {
+			shared = frame
+		}
 	}
-	defer wire.PutWriter(dw)
 	sched.fm.epochsAdmitted.Inc()
 	job := &epochJob{
 		epoch:  epoch,
 		q:      q,
+		sub:    subs,
 		expect: make([]uint64, f.k),
-		rep:    wire.Reply{Results: make([]wire.QueryReply, len(q.Points))},
 		done:   make(chan struct{}),
-		span:   sched.tr.Begin(epoch, q.Op, len(q.Points), false),
+		span:   sched.tr.Begin(epoch, q.Op, len(q.Points), subs != nil),
+	}
+	if subs == nil {
+		job.rep.Results = make([]wire.QueryReply, len(q.Points))
 	}
 	// Register the job with its full expectation set before any write, so
 	// a node answering instantly finds its job — then release sched.mu for
@@ -422,43 +503,56 @@ func (sched *scheduler) dispatch(q wire.Query) (*epochJob, wire.Reply) {
 		return nil, closingReply()
 	}
 	sched.inflight[epoch] = job
-	for _, s := range f.slots {
-		job.expectSet(s.id, s.gen)
+	for _, id := range targets {
+		job.expectSet(id, f.slots[id].gen)
 	}
 	sched.mu.Unlock()
-	// The writes run concurrently and bounded: a node that stopped
-	// draining its control connection (partitioned, stopped) must fail its
-	// write — and lose its seat — within one deadline rather than wedge
-	// the whole frontend, including the EvictNode that would remove it.
-	writeErrs := make([]error, len(f.slots))
-	var writes sync.WaitGroup
-	for i, s := range f.slots {
-		writes.Add(1)
-		go func(i int, s *feSlot) {
-			defer writes.Done()
-			s.conn.SetWriteDeadline(time.Now().Add(dispatchTimeout))
-			_, writeErrs[i] = s.conn.Write(dispatch)
-			if writeErrs[i] == nil {
-				s.conn.SetWriteDeadline(time.Time{})
-			}
-		}(i, s)
+	// The writes are deadline-bounded: a node that stopped draining its
+	// control connection (partitioned, stopped) must fail its write — and
+	// lose its seat — within one deadline rather than wedge the whole
+	// frontend, including the EvictNode that would remove it. A one-target
+	// wave — the common case for a pruned single query — writes inline,
+	// skipping the goroutine fan-out and its allocations.
+	writeErrs := make([]error, len(targets))
+	if len(targets) == 1 {
+		s := f.slots[targets[0]]
+		s.conn.SetWriteDeadline(time.Now().Add(dispatchTimeout))
+		//knnlint:allow lockio -- deadline-bounded inline dispatch write; f.mu keeps the seat's conn/gen stable across it
+		_, writeErrs[0] = s.conn.Write(frames[0])
+		if writeErrs[0] == nil {
+			s.conn.SetWriteDeadline(time.Time{})
+		}
+	} else {
+		var writes sync.WaitGroup
+		for i, id := range targets {
+			writes.Add(1)
+			go func(i int, s *feSlot) {
+				defer writes.Done()
+				s.conn.SetWriteDeadline(time.Now().Add(dispatchTimeout))
+				_, writeErrs[i] = s.conn.Write(frames[i])
+				if writeErrs[i] == nil {
+					s.conn.SetWriteDeadline(time.Time{})
+				}
+			}(i, f.slots[id])
+		}
+		writes.Wait()
 	}
-	writes.Wait()
 	job.span.MarkDispatched()
 	sched.mu.Lock()
-	for i, s := range f.slots {
+	for i, id := range targets {
 		if err := writeErrs[i]; err != nil {
-			cause := fmt.Errorf("dispatch to node %d: %v", s.id, err)
+			s := f.slots[id]
+			cause := fmt.Errorf("dispatch to node %d: %v", id, err)
 			gen := s.gen
 			f.markAbsentLocked(s, gen, cause)
 			// The node never received this epoch: withdraw its pre-filled
 			// expectation (unless the job already finished, e.g. a
 			// concurrent shutdown) and fail the epochs in flight on it.
-			if job.expectMatch(s.id, gen) && !job.finished {
-				job.expectClear(s.id)
-				job.fail(s.id, cause)
+			if job.expectMatch(id, gen) && !job.finished {
+				job.expectClear(id)
+				job.fail(id, cause)
 			}
-			sched.seatLostLocked(s.id, gen, cause)
+			sched.seatLostLocked(id, gen, cause)
 		}
 	}
 	sched.maybeFinishLocked(job)
@@ -642,7 +736,7 @@ func (sched *scheduler) maybeFinishLocked(job *epochJob) {
 		job.rep.Leader = sched.f.leader
 		for qi := range job.rep.Results {
 			points.SortItems(job.rep.Results[qi].Items)
-			if job.q.Op != wire.OpKNN && !job.direct {
+			if job.q.Op != wire.OpKNN && !job.direct() {
 				job.rep.Results[qi].Items = nil
 			}
 		}
@@ -652,11 +746,6 @@ func (sched *scheduler) maybeFinishLocked(job *epochJob) {
 	}
 	job.span.MarkCollated(job.rep.Err, job.rep.Degraded)
 	delete(sched.inflight, job.epoch)
-	if !job.direct {
-		sched.count--
-		sched.noteCountLocked()
-		sched.cond.Broadcast()
-	}
 	close(job.done)
 }
 
@@ -734,7 +823,7 @@ func (sched *scheduler) coalesce(q wire.Query) wire.Reply {
 	// doom the bucket.
 	sched.f.mu.Lock()
 	prunable := sched.f.prunableLocked()
-	rep, ok := sched.f.degradedLocked("waiting for")
+	rep, ok := sched.f.absentLocked(nil, "waiting for")
 	sched.f.mu.Unlock()
 	if !ok && !prunable {
 		return rep
@@ -883,27 +972,11 @@ func (sched *scheduler) runPruned(q wire.Query) (wire.Reply, bool) {
 	// One window slot covers both waves: the probe and the gather are
 	// halves of one query, and parking the gather behind fresh admissions
 	// could deadlock a full window of half-done pruned queries.
-	sched.mu.Lock()
-	for !sched.closed && sched.count >= sched.window {
-		sched.cond.Wait()
-	}
-	if sched.closed {
-		sched.mu.Unlock()
+	if !sched.acquire() {
 		return closingReply(), true
 	}
-	sched.count++
-	sched.fm.occupancy.Observe(int64(sched.count))
-	sched.noteCountLocked()
-	sched.mu.Unlock()
-	rep := sched.prunedBatch(q, dist, radius)
-	sched.mu.Lock()
-	if !sched.closed {
-		sched.count--
-		sched.noteCountLocked()
-		sched.cond.Broadcast()
-	}
-	sched.mu.Unlock()
-	return rep, true
+	defer sched.release()
+	return sched.prunedBatch(q, dist, radius), true
 }
 
 // srcItem is one gathered winner together with the seat that holds it. The
@@ -957,7 +1030,7 @@ func (sched *scheduler) prunedBatch(q wire.Query, dist [][]float64, radius []flo
 		}
 	}
 	if len(present) == 0 {
-		rep, _ := f.degradedLocked("waiting for")
+		rep, _ := f.absentLocked(nil, "waiting for")
 		f.mu.Unlock()
 		return rep
 	}
@@ -995,14 +1068,9 @@ func (sched *scheduler) prunedBatch(q wire.Query, dist [][]float64, radius []flo
 	for _, sub := range wave1 {
 		contacts += int64(len(sub))
 	}
-	job, rep := sched.dispatchDirectWave(q, wave1)
+	job, rep := sched.wave(q, wave1)
 	if job == nil {
 		return rep
-	}
-	<-job.done
-	job.span.Finish()
-	if job.rep.Err != "" {
-		return job.rep
 	}
 	got := make([][]srcItem, n)
 	collectShares(got, job)
@@ -1031,14 +1099,9 @@ func (sched *scheduler) prunedBatch(q wire.Query, dist [][]float64, radius []flo
 	rounds := 1
 	if wave2Any {
 		rounds = 2
-		job2, rep2 := sched.dispatchDirectWave(q, wave2)
+		job2, rep2 := sched.wave(q, wave2)
 		if job2 == nil {
 			return rep2
-		}
-		<-job2.done
-		job2.span.Finish()
-		if job2.rep.Err != "" {
-			return job2.rep
 		}
 		collectShares(got, job2)
 		for pi := range got {
@@ -1151,171 +1214,4 @@ func regressItems(items []srcItem, k, leader int) float64 {
 		}
 	}
 	return sum / float64(total)
-}
-
-// dispatchDirectWave assigns an epoch ordinal and ships one direct
-// (no-mesh) wave of a pruned query: seat id receives exactly the sub-batch
-// subs[id] of q's points, and a seat with an empty sub-batch is not
-// contacted at all. When every contacted seat receives the full batch —
-// always true for a single-point query — the wave is encoded once as a
-// KindDispatchDirect frame and fanned out; otherwise each target gets its
-// own KindDispatchDirectSub frame carrying its sub-batch and the points'
-// original indices. A collation job expecting one result frame per target
-// is registered before any write. The wave mirrors dispatch with one
-// deliberate difference: only the targets must be present. A missing target
-// fails the query with the retryable degraded reply naming it; any other
-// absent seat is invisible here, because the admission test already proved
-// its shard irrelevant to this wave.
-func (sched *scheduler) dispatchDirectWave(q wire.Query, subs [][]int) (*epochJob, wire.Reply) {
-	f := sched.f
-	var targets []int
-	full := true
-	for id, sub := range subs {
-		if len(sub) == 0 {
-			continue
-		}
-		targets = append(targets, id)
-		if len(sub) != len(q.Points) {
-			full = false
-		}
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.slots == nil || f.closed.Load() {
-		return nil, closingReply()
-	}
-	var absent []int
-	var lossCause error
-	for _, id := range targets {
-		if s := f.slots[id]; !s.present {
-			absent = append(absent, id)
-			if lossCause == nil {
-				lossCause = s.lastLoss
-			}
-		}
-	}
-	if len(absent) > 0 {
-		msg := fmt.Sprintf("cluster degraded (%d of %d nodes): pruned query needs node(s) %v", f.k-len(absent), f.k, absent)
-		if lossCause != nil {
-			msg += fmt.Sprintf(" (%v)", lossCause)
-		}
-		return nil, wire.Reply{Err: msg, Degraded: true}
-	}
-	f.epoch++
-	epoch := f.epoch
-	// Frame building reuses the pooled writers of the scatter path. A full
-	// wave is the encode-once fan-out: one read-only frame shared by every
-	// write below. A sub-batched wave builds one frame per target (each
-	// carries different points); the writers stay checked out until the
-	// writes are done, because the framed bytes alias their buffers.
-	writers := make([]*wire.Writer, 0, len(targets))
-	defer func() {
-		for _, dw := range writers {
-			wire.PutWriter(dw)
-		}
-	}()
-	frames := make([][]byte, len(targets))
-	if full {
-		dw := wire.GetWriter()
-		dw.BeginFrame()
-		wire.AppendDispatchDirect(dw, epoch, q)
-		frame, ferr := dw.FinishFrame()
-		if ferr != nil {
-			wire.PutWriter(dw)
-			return nil, wire.Reply{Err: fmt.Sprintf("dispatch too large: %v", ferr)}
-		}
-		writers = append(writers, dw)
-		for i := range frames {
-			frames[i] = frame
-		}
-	} else {
-		var pts [][]byte
-		for i, id := range targets {
-			sub := subs[id]
-			pts = pts[:0]
-			for _, pi := range sub {
-				pts = append(pts, q.Points[pi])
-			}
-			dw := wire.GetWriter()
-			dw.BeginFrame()
-			wire.AppendDispatchDirectSub(dw, epoch, sub, wire.Query{Op: q.Op, L: q.L, Tag: q.Tag, Points: pts})
-			frame, ferr := dw.FinishFrame()
-			if ferr != nil {
-				wire.PutWriter(dw)
-				return nil, wire.Reply{Err: fmt.Sprintf("dispatch too large: %v", ferr)}
-			}
-			writers = append(writers, dw)
-			frames[i] = frame
-		}
-	}
-	sched.fm.epochsAdmitted.Inc()
-	job := &epochJob{
-		epoch:  epoch,
-		q:      q,
-		direct: true,
-		sub:    make(map[int][]int, len(targets)),
-		expect: make([]uint64, f.k),
-		done:   make(chan struct{}),
-		span:   sched.tr.Begin(epoch, q.Op, len(q.Points), true),
-	}
-	for _, id := range targets {
-		job.sub[id] = subs[id]
-	}
-	sched.mu.Lock()
-	if sched.closed {
-		sched.mu.Unlock()
-		return nil, closingReply()
-	}
-	sched.inflight[epoch] = job
-	for _, id := range targets {
-		job.expectSet(id, f.slots[id].gen)
-	}
-	sched.mu.Unlock()
-	// Bounded writes, exactly like dispatch: a target that stopped draining
-	// its control connection loses its seat within one deadline instead of
-	// wedging the frontend. A one-target wave — the common case for a
-	// pruned single query — writes inline, skipping the goroutine fan-out
-	// and its allocations.
-	writeErrs := make([]error, len(targets))
-	if len(targets) == 1 {
-		s := f.slots[targets[0]]
-		s.conn.SetWriteDeadline(time.Now().Add(dispatchTimeout))
-		//knnlint:allow lockio -- deadline-bounded inline dispatch write; f.mu keeps the seat's conn/gen stable across it
-		_, writeErrs[0] = s.conn.Write(frames[0])
-		if writeErrs[0] == nil {
-			s.conn.SetWriteDeadline(time.Time{})
-		}
-	} else {
-		var writes sync.WaitGroup
-		for i, id := range targets {
-			writes.Add(1)
-			go func(i int, s *feSlot) {
-				defer writes.Done()
-				s.conn.SetWriteDeadline(time.Now().Add(dispatchTimeout))
-				_, writeErrs[i] = s.conn.Write(frames[i])
-				if writeErrs[i] == nil {
-					s.conn.SetWriteDeadline(time.Time{})
-				}
-			}(i, f.slots[id])
-		}
-		writes.Wait()
-	}
-	job.span.MarkDispatched()
-	sched.mu.Lock()
-	for i, id := range targets {
-		if err := writeErrs[i]; err != nil {
-			s := f.slots[id]
-			cause := fmt.Errorf("dispatch to node %d: %v", s.id, err)
-			gen := s.gen
-			f.markAbsentLocked(s, gen, cause)
-			if job.expectMatch(s.id, gen) && !job.finished {
-				job.expectClear(s.id)
-				job.fail(s.id, cause)
-			}
-			sched.seatLostLocked(s.id, gen, cause)
-		}
-	}
-	sched.maybeFinishLocked(job)
-	sched.mu.Unlock()
-	return job, wire.Reply{}
 }

@@ -326,28 +326,12 @@ func serveNode(coordAddr, meshAddr, advertise string, rejoinID int, h Handler, h
 			// A pruned epoch never touches the mesh: no beginEpoch (the
 			// demultiplexer's monotonic-ordinal invariant is for mesh
 			// epochs only — direct ordinals interleave freely), no seed,
-			// no peers. The node answers straight from its shard.
+			// no peers. The node answers straight from its shard, one
+			// result entry per point of whatever sub-batch it was sent.
 			epoch := r.Varint()
 			q, err := wire.DecodeQuery(r)
 			if err != nil {
 				return fmt.Errorf("tcp: node %d bad direct dispatch: %w", a.id, err)
-			}
-			epochs.Add(1)
-			go func() {
-				defer epochs.Done()
-				runDirectEpoch(epoch, q, h, a.id, writeCtrl, coord, nm)
-				wire.PutFrameBuf(payload)
-			}()
-		case wire.KindDispatchDirectSub:
-			// One shard's sub-batch of a pruned batch epoch: answered exactly
-			// like a direct dispatch (no mesh, no seed), one winners-only
-			// result entry per sub-batch point in sub-batch order. The
-			// original batch indices are the frontend's bookkeeping — it maps
-			// this node's replies by position — so they are validated and
-			// dropped here.
-			epoch, _, q, err := wire.DecodeDispatchDirectSub(r)
-			if err != nil {
-				return fmt.Errorf("tcp: node %d bad sub-batch dispatch: %w", a.id, err)
 			}
 			epochs.Add(1)
 			go func() {
@@ -566,6 +550,12 @@ func joinServe(coordAddr string, ln net.Listener, advertise string, rejoinID int
 	}
 }
 
+// beforeMeshAck runs in the mesh accept loop between installing an
+// accepted link and writing its handshake ack. It is a test seam: tests
+// stretch that window to prove mesh set-up never depends on the ack
+// winning a race against the first round frame.
+var beforeMeshAck = func() {}
+
 // meshAcceptLoop seats incoming mesh links for the session's lifetime. The
 // dialer identifies itself with a hello frame and gets an empty ack back
 // once the link is installed — so a re-joining peer knows this node will
@@ -597,19 +587,25 @@ func meshAcceptLoop(n *Node, ln net.Listener) {
 				return
 			}
 			conn.SetDeadline(time.Time{})
-			n.installPeer(id, conn)
+			p := n.installPeer(id, conn)
+			beforeMeshAck()
 			// Ack after the install: the only writer on this socket until
-			// the dialer's next epoch is this goroutine.
+			// the dialer's next epoch is this goroutine. The initial mesh
+			// counts the link as seated only once the ack is out (a failed
+			// ack closes the link, which fails the set-up epoch instead), so
+			// the set-up epoch's first round frame can never overtake it.
 			if err := wire.WriteFrame(conn, nil); err != nil {
 				conn.Close()
 			}
+			n.markAcked(p)
 		}(conn)
 	}
 }
 
 // dialPeer dials machine j's mesh address and performs the serving
-// handshake: hello{id}, then wait for the ack confirming the peer has
-// installed (or replaced) the link.
+// handshake: hello{id}, then wait for the empty ack confirming the peer has
+// installed (or replaced) the link. Any other frame means the stream is out
+// of step, and the link is refused.
 func dialPeer(n *Node, j int, addr string) error {
 	conn, err := net.DialTimeout("tcp", addr, handshakeTimeout)
 	if err != nil {
@@ -622,7 +618,11 @@ func dialPeer(n *Node, j int, addr string) error {
 		conn.Close()
 		return fmt.Errorf("tcp: node %d hello to %d: %w", n.id, j, err)
 	}
-	if _, err := wire.ReadFrame(conn); err != nil {
+	ack, err := wire.ReadFrame(conn)
+	if err == nil && len(ack) != 0 {
+		err = fmt.Errorf("got a %d-byte frame, want an empty ack", len(ack))
+	}
+	if err != nil {
 		conn.Close()
 		return fmt.Errorf("tcp: node %d ack from %d: %w", n.id, j, err)
 	}
@@ -633,7 +633,7 @@ func dialPeer(n *Node, j int, addr string) error {
 
 // buildServeMesh establishes the initial serving mesh: this node dials
 // every lower machine index and waits until the accept loop has seated
-// every higher one.
+// every higher one — installed and acked.
 func buildServeMesh(n *Node, addrs []string) error {
 	errs := make(chan error, n.id)
 	for j := 0; j < n.id; j++ {
@@ -649,7 +649,7 @@ func buildServeMesh(n *Node, addrs []string) error {
 	for {
 		missing := -1
 		for j := n.id + 1; j < n.k; j++ {
-			if n.peers[j] == nil {
+			if p := n.peers[j]; p == nil || !p.acked {
 				missing = j
 				break
 			}

@@ -134,6 +134,24 @@ func TestServeManyEpochsOverOneMesh(t *testing.T) {
 	}
 }
 
+// TestMeshSetupSurvivesSlowAck pins the mesh handshake order. An accepting
+// node must not write its first set-up round frame on a link before that
+// link's handshake ack: the dialing peer would take the round frame for the
+// ack and then read the ack as a round frame. Delaying every ack makes that
+// interleaving certain whenever set-up allows it, so the deployment must
+// still come up and answer.
+func TestMeshSetupSurvivesSlowAck(t *testing.T) {
+	beforeMeshAck = func() { time.Sleep(20 * time.Millisecond) }
+	t.Cleanup(func() { beforeMeshAck = func() {} })
+	k := 3
+	lc, client := startEchoCluster(t, k, 13)
+	rep, err := client.Do(scalarQuery(wire.OpKNN, 1, 9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkEcho(t, rep, k, 9, lc.Leader())
+}
+
 // TestServeBatchedEpoch drives a whole batch through one dispatch and
 // checks per-query merge order and the single shared epoch cost.
 func TestServeBatchedEpoch(t *testing.T) {

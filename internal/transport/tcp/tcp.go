@@ -151,6 +151,11 @@ type peer struct {
 	everSub bool   // at least one epoch has been subscribed
 	maxSub  uint64 // highest epoch ever subscribed; subscriptions are monotonic
 	err     error  // sticky read/routing failure
+
+	// acked marks an accepted serving-mesh link whose handshake ack has
+	// been written (guarded by Node.peersMu, not mu). Only then does
+	// buildServeMesh count the link as seated.
+	acked bool
 }
 
 func newPeer(conn net.Conn) *peer {
@@ -309,10 +314,10 @@ type Node struct {
 }
 
 // installPeer replaces machine j's mesh link with conn (closing any prior
-// link, whose feeds then close) and starts the new link's demultiplexing
-// reader. Serving nodes call it from the mesh accept loop; one-shot meshes
-// never replace links.
-func (n *Node) installPeer(j int, conn net.Conn) {
+// link, whose feeds then close), starts the new link's demultiplexing
+// reader and returns it. Serving nodes call it from the mesh accept loop
+// and dialPeer; one-shot meshes never replace links.
+func (n *Node) installPeer(j int, conn net.Conn) *peer {
 	p := newPeer(conn)
 	n.peersMu.Lock()
 	old := n.peers[j]
@@ -322,6 +327,15 @@ func (n *Node) installPeer(j int, conn net.Conn) {
 	if old != nil {
 		old.conn.Close()
 	}
+	return p
+}
+
+// markAcked records that the handshake ack of accepted link p is written.
+func (n *Node) markAcked(p *peer) {
+	n.peersMu.Lock()
+	p.acked = true
+	n.peersCond.Broadcast()
+	n.peersMu.Unlock()
 }
 
 // dropPeer closes and forgets machine j's link — but only if it is still

@@ -116,10 +116,11 @@ func BenchmarkReplyFramePath(b *testing.B) {
 }
 
 // BenchmarkDirectDispatchFramePath is the pruned dispatch's wave encoding:
-// a pooled writer frames one KindDispatchDirect fan-out frame plus one
-// KindDispatchDirectSub sub-batch frame per iteration, the way a two-wave
-// pruned batch builds them. The encode+frame side must stay at zero
-// steady-state allocs/op, like the scatter path it reuses.
+// a pooled writer frames one full-batch KindDispatchDirect frame (the
+// encode-once fan-out) plus one sub-batch KindDispatchDirect frame per
+// iteration, the way a two-wave pruned batch builds them. The
+// encode+frame side must stay at zero steady-state allocs/op, like the
+// scatter path it shares with the frontend's dispatch.
 func BenchmarkDirectDispatchFramePath(b *testing.B) {
 	pts := make([][]byte, 16)
 	for i := range pts {
@@ -127,7 +128,7 @@ func BenchmarkDirectDispatchFramePath(b *testing.B) {
 	}
 	q := Query{Op: OpKNN, L: 10, Tag: PointScalar, Points: pts}
 	sub := []int{1, 3, 4, 7, 11}
-	subQ := Query{Op: OpKNN, L: 10, Tag: PointScalar, Points: pts[:len(sub)]}
+	subQ := Query{Op: OpKNN, L: 10, Tag: PointScalar, Points: make([][]byte, 0, len(sub))}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		w := GetWriter()
@@ -138,9 +139,13 @@ func BenchmarkDirectDispatchFramePath(b *testing.B) {
 		}
 		PutWriter(w)
 
+		subQ.Points = subQ.Points[:0]
+		for _, pi := range sub {
+			subQ.Points = append(subQ.Points, pts[pi])
+		}
 		w = GetWriter()
 		w.BeginFrame()
-		AppendDispatchDirectSub(w, uint64(i), sub, subQ)
+		AppendDispatchDirect(w, uint64(i), subQ)
 		if err := w.EndFrame(io.Discard); err != nil {
 			b.Fatal(err)
 		}

@@ -78,20 +78,13 @@ const (
 	// epoch: the node answers its local top-ℓ for each query point from
 	// its own shard without starting a BSP epoch — no election-derived
 	// rounds, no mesh traffic — and replies with a winners-only KindResult
-	// (IsLeader 0, Rounds/Messages/Bytes 0). Body: Varint epoch, then a
-	// Query body (identical layout to KindDispatch).
+	// (IsLeader 0, Rounds/Messages/Bytes 0), one entry per query point in
+	// batch order. Body: Varint epoch, then a Query body (identical layout
+	// to KindDispatch). The batch is whatever sub-batch of the client's
+	// points the frontend's admission test sent this node; the frontend
+	// maps the result entries back to batch positions itself. Kind 16 is
+	// unassigned.
 	KindDispatchDirect Kind = 15
-	// KindDispatchDirectSub: frontend → node, one shard's sub-batch of a
-	// pruned batch epoch. The frontend's per-point admission test sends each
-	// shard only the query points whose ball can intersect it, so different
-	// nodes of one wave receive different subsets; the frame carries each
-	// point's original batch index to keep the protocol self-describing (the
-	// frontend maps replies by position, nodes may ignore the indices). The
-	// node answers exactly like KindDispatchDirect: a winners-only KindResult
-	// with one entry per sub-batch point, in sub-batch order. Body: Varint
-	// epoch, Varint n, n × Varint original batch index, then a Query body
-	// whose batch is the n sub-batch points.
-	KindDispatchDirectSub Kind = 16
 )
 
 // Session modes carried in the KindAssign frame.
@@ -208,55 +201,6 @@ func AppendDispatchDirect(w *Writer, epoch uint64, q Query) {
 	w.Kind(KindDispatchDirect)
 	w.Varint(epoch)
 	q.append(w)
-}
-
-// EncodeDispatchDirectSub builds a KindDispatchDirectSub frame payload for
-// one shard's sub-batch of a pruned batch epoch.
-func EncodeDispatchDirectSub(epoch uint64, index []int, q Query) []byte {
-	var w Writer
-	AppendDispatchDirectSub(&w, epoch, index, q)
-	return w.Bytes()
-}
-
-// AppendDispatchDirectSub appends a KindDispatchDirectSub frame payload to
-// w. index carries the original batch index of each point of q, so
-// len(index) must equal len(q.Points).
-func AppendDispatchDirectSub(w *Writer, epoch uint64, index []int, q Query) {
-	w.Kind(KindDispatchDirectSub)
-	w.Varint(epoch)
-	w.Varint(uint64(len(index)))
-	for _, qi := range index {
-		w.Varint(uint64(qi))
-	}
-	q.append(w)
-}
-
-// DecodeDispatchDirectSub reads a KindDispatchDirectSub body; the kind byte
-// must already be consumed. The decoded points alias the reader's buffer.
-func DecodeDispatchDirectSub(r *Reader) (epoch uint64, index []int, q Query, err error) {
-	epoch = r.Varint()
-	count := r.Varint()
-	if r.Err() == nil && count > MaxBatch {
-		return 0, nil, Query{}, fmt.Errorf("wire: sub-batch of %d exceeds limit %d", count, MaxBatch)
-	}
-	if r.Err() == nil && count > uint64(r.Remaining()) {
-		return 0, nil, Query{}, fmt.Errorf("wire: sub-batch count %d exceeds payload", count)
-	}
-	index = make([]int, 0, count)
-	for i := uint64(0); i < count; i++ {
-		qi := r.Varint()
-		if r.Err() == nil && qi >= MaxBatch {
-			return 0, nil, Query{}, fmt.Errorf("wire: sub-batch index %d exceeds limit %d", qi, MaxBatch)
-		}
-		index = append(index, int(qi))
-	}
-	if q, err = DecodeQuery(r); err != nil {
-		return 0, nil, Query{}, err
-	}
-	if len(q.Points) != len(index) {
-		return 0, nil, Query{}, fmt.Errorf("wire: sub-batch carries %d indices for %d points", len(index), len(q.Points))
-	}
-	return epoch, index, q, nil
 }
 
 // DecodeQuery reads a Query body; the kind byte must already be consumed.

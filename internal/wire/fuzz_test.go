@@ -41,44 +41,6 @@ func FuzzDecodeQuery(f *testing.F) {
 	})
 }
 
-// FuzzDecodeDispatchDirectSub covers the pruned sub-batch dispatch: the
-// epoch and original-index prefix plus the shared query body decoder.
-func FuzzDecodeDispatchDirectSub(f *testing.F) {
-	f.Add(EncodeDispatchDirectSub(1, []int{0, 2}, Query{
-		Op: OpKNN, L: 10, Tag: PointScalar,
-		Points: [][]byte{EncodeScalarPoint(12345), EncodeScalarPoint(5)},
-	})[1:])
-	f.Add(EncodeDispatchDirectSub(7, []int{3}, Query{
-		Op: OpRegress, L: 2, Tag: PointVector,
-		Points: [][]byte{EncodeVectorPoint(points.Vector{0.5, 1.5})},
-	})[1:])
-	f.Add([]byte{})
-	f.Add([]byte{1, 2, 0}) // index count beyond payload
-	f.Fuzz(func(t *testing.T, data []byte) {
-		epoch, index, q, err := DecodeDispatchDirectSub(NewReader(data))
-		if err != nil {
-			return
-		}
-		if len(index) != len(q.Points) {
-			t.Fatalf("decoder admitted %d indices for %d points", len(index), len(q.Points))
-		}
-		for _, qi := range index {
-			if qi < 0 || qi >= MaxBatch {
-				t.Fatalf("decoder admitted out-of-range index %d", qi)
-			}
-		}
-		enc := EncodeDispatchDirectSub(epoch, index, q)
-		r2 := skipKind(t, enc, KindDispatchDirectSub)
-		epoch2, index2, q2, err := DecodeDispatchDirectSub(r2)
-		if err != nil {
-			t.Fatalf("re-decode failed: %v", err)
-		}
-		if !bytes.Equal(EncodeDispatchDirectSub(epoch2, index2, q2), enc) {
-			t.Fatalf("sub-batch dispatch is not a re-encoding fixed point")
-		}
-	})
-}
-
 func FuzzDecodeNodeResult(f *testing.F) {
 	f.Add(EncodeNodeResult(NodeResult{
 		Epoch: 1, Node: 0, Rounds: 26, Messages: 44, Bytes: 745, IsLeader: true,
@@ -131,8 +93,9 @@ func FuzzDecodeReply(f *testing.F) {
 	})
 }
 
-// FuzzDecodeTaggedFrame covers the multiplexed query/reply kinds: the tag
-// varint plus the shared body decoders, whole frames at a time.
+// FuzzDecodeTaggedFrame covers the kinds that prefix a Query or Reply body
+// with one varint — the multiplexed query/reply tag, or a dispatch's epoch
+// ordinal — plus the shared body decoders, whole frames at a time.
 func FuzzDecodeTaggedFrame(f *testing.F) {
 	q := Query{Op: OpKNN, L: 10, Tag: PointScalar, Points: [][]byte{EncodeScalarPoint(12345)}}
 	f.Add(EncodeQueryTagged(0, q))
@@ -144,9 +107,37 @@ func FuzzDecodeTaggedFrame(f *testing.F) {
 	}))
 	f.Add(EncodeReplyTagged(5, Reply{Err: "degraded", Degraded: true}))
 	f.Add([]byte{byte(KindQueryTagged), 0x80})
+	f.Add(EncodeDispatch(1, q))
+	// A pruned wave's sub-batch dispatch: two of a batch's points, sent as
+	// an ordinary direct dispatch whose batch is the sub-batch.
+	f.Add(EncodeDispatchDirect(7, Query{Op: OpRegress, L: 2, Tag: PointVector, Points: [][]byte{
+		EncodeVectorPoint(points.Vector{0.5, 1.5}), EncodeVectorPoint(points.Vector{2, -1}),
+	}}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := NewReader(data)
-		switch r.Kind() {
+		switch kind := r.Kind(); kind {
+		case KindDispatch, KindDispatchDirect:
+			epoch := r.Varint()
+			q, err := DecodeQuery(r)
+			if err != nil || r.Err() != nil {
+				return
+			}
+			encode := EncodeDispatch
+			if kind == KindDispatchDirect {
+				encode = EncodeDispatchDirect
+			}
+			enc := encode(epoch, q)
+			r2 := skipKind(t, enc, kind)
+			if got := r2.Varint(); got != epoch {
+				t.Fatalf("epoch %d re-decoded as %d", epoch, got)
+			}
+			q2, err := DecodeQuery(r2)
+			if err != nil {
+				t.Fatalf("re-decode failed: %v", err)
+			}
+			if !bytes.Equal(encode(epoch, q2), enc) {
+				t.Fatalf("dispatch is not a re-encoding fixed point")
+			}
 		case KindQueryTagged:
 			tag := r.Varint()
 			q, err := DecodeQuery(r)
@@ -184,7 +175,7 @@ func FuzzDecodeTaggedFrame(f *testing.F) {
 				t.Fatalf("tagged reply is not a re-encoding fixed point")
 			}
 		default:
-			// Not a tagged frame: nothing to round-trip.
+			// No varint-prefixed body: nothing to round-trip.
 		}
 	})
 }

@@ -79,10 +79,6 @@ func docExamples() []struct {
 		{"summary", EncodeShardSummary(ShardSummary{Node: 1, Has: true, Radius: 0.25, Center: EncodeScalarPoint(12345)})},
 		{"empty summary", EncodeShardSummary(ShardSummary{Node: 2})},
 		{"dispatch direct", EncodeDispatchDirect(1, q)},
-		{"dispatch direct sub", EncodeDispatchDirectSub(1, []int{0, 2}, Query{
-			Op: OpKNN, L: 10, Tag: PointScalar,
-			Points: [][]byte{EncodeScalarPoint(12345), EncodeScalarPoint(5)},
-		})},
 		{"result", EncodeNodeResult(NodeResult{
 			Epoch: 1, Node: 0, Rounds: 26, Messages: 44, Bytes: 745,
 			IsLeader: true,
