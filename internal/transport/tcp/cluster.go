@@ -196,7 +196,7 @@ func RunNode(coordAddr, meshAddr string, prog kmachine.Program) (Metrics, error)
 	if err != nil {
 		return Metrics{}, err
 	}
-	node := newNode(a.id, a.k, a.seed, conns)
+	node := newNode(a.id, a.k, a.seed, conns, nil)
 	return node.runProgram(prog)
 }
 

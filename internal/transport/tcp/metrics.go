@@ -73,6 +73,8 @@ type nodeMetrics struct {
 	meshBytes    *obs.Counter // node_mesh_bytes_total: Σ mesh traffic bytes of this node's epochs
 	ctrlIn       *obs.Counter // node_ctrl_bytes_in_total: control-plane frame bytes read from the frontend
 	ctrlOut      *obs.Counter // node_ctrl_bytes_out_total: control-plane frame bytes written to the frontend
+	linkWrites   *obs.Counter // node_mesh_link_writes_total: socket writes by the mesh link writers
+	framesSent   *obs.Counter // node_mesh_frames_sent_total: round frames those writes carried (frames/writes = coalescing factor)
 }
 
 func newNodeMetrics(reg *obs.Registry) *nodeMetrics {
@@ -89,6 +91,8 @@ func newNodeMetrics(reg *obs.Registry) *nodeMetrics {
 		meshBytes:    reg.Counter("node_mesh_bytes_total"),
 		ctrlIn:       reg.Counter("node_ctrl_bytes_in_total"),
 		ctrlOut:      reg.Counter("node_ctrl_bytes_out_total"),
+		linkWrites:   reg.Counter("node_mesh_link_writes_total"),
+		framesSent:   reg.Counter("node_mesh_frames_sent_total"),
 	}
 }
 

@@ -164,7 +164,12 @@ type nodeSession struct {
 func (s *nodeSession) kill() {
 	s.coord.Close()
 	s.ln.Close()
-	s.node.closePeers()
+	// No flush: a crashed process loses whatever its link writers held.
+	for _, p := range s.node.peerSnapshot() {
+		if p != nil {
+			p.conn.Close()
+		}
+	}
 }
 
 func serveNode(coordAddr, meshAddr, advertise string, rejoinID int, h Handler, hook func(*nodeSession), reg *obs.Registry) error {
@@ -181,7 +186,7 @@ func serveNode(coordAddr, meshAddr, advertise string, rejoinID int, h Handler, h
 	}
 	defer coord.Close()
 
-	node := newNode(a.id, a.k, a.seed, nil)
+	node := newNode(a.id, a.k, a.seed, nil, nm)
 	defer node.closePeers()
 	// The accept loop runs for the whole session: it seats the initial
 	// higher-id dialers and, later, replacement links from re-joining

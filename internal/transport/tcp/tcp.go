@@ -16,6 +16,14 @@
 // expecting frames from it. A node that fails broadcasts an error flag,
 // which aborts every peer's run.
 //
+// Each mesh link has one writer goroutine and one buffered reader for its
+// whole life. Sending a round frame only appends it to the link's queue;
+// the writer puts everything queued while its previous write ran on the
+// wire in one write, so with several epochs in flight their frames to the
+// same peer share a syscall. The reader pulls frames through a buffer, so
+// a frame's header and body — and the frames coalesced behind it — cost one
+// read between them.
+//
 // Two deployment styles are offered, mirroring internal/kmachine's Run vs
 // Runtime split:
 //
@@ -38,12 +46,13 @@
 package tcp
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"math/rand/v2"
 	"net"
-	"sort"
 	"sync"
+	"time"
 
 	"distknn/internal/kmachine"
 	"distknn/internal/wire"
@@ -133,16 +142,18 @@ type frame struct {
 	msgs  [][]byte
 }
 
-// peer is one mesh connection plus its demultiplexing reader. Frames are
-// routed per epoch: an epoch run subscribes before its first exchange and
-// receives exactly its own frames on a private feed. Frames for epochs this
-// node has not started yet (the peer read its dispatch earlier) are stashed
-// until the subscription arrives; leftovers of completed epochs (final halt
-// frames nobody reads) are dropped. A read failure closes every live feed —
-// subscribers observe it as a channel close — and poisons the link for
-// future subscriptions.
+// peer is one mesh connection with its demultiplexing reader and its
+// coalescing writer. Frames are routed per epoch: an epoch run subscribes
+// before its first exchange and receives exactly its own frames on a
+// private feed. Frames for epochs this node has not started yet (the peer
+// read its dispatch earlier) are stashed until the subscription arrives;
+// leftovers of completed epochs (final halt frames nobody reads) are
+// dropped. A read or write failure closes every live feed — subscribers
+// observe it as a channel close — and poisons the link for future
+// subscriptions and sends.
 type peer struct {
 	conn net.Conn
+	nm   *nodeMetrics // link write counters
 
 	mu      sync.Mutex
 	subs    map[uint64]chan frame
@@ -152,31 +163,56 @@ type peer struct {
 	maxSub  uint64 // highest epoch ever subscribed; subscriptions are monotonic
 	err     error  // sticky read/routing failure
 
+	// The send queue, guarded by wmu. send appends encoded frames to out
+	// and wakes the writer, which swaps out for its spare buffer and puts
+	// the whole batch on the wire in one write. Both buffers are owned by
+	// the link for its lifetime; neither ever comes from the wire pool.
+	wmu     sync.Mutex
+	wake    *sync.Cond    // frames queued, link failed, or closing
+	out     wire.Writer   // frames queued since the writer's last swap
+	nout    int           // frames in out
+	werr    error         // sticky link failure: sends are refused
+	closing bool          // flush what is queued, then stop
+	wdone   chan struct{} // closed when the writer exits
+
 	// acked marks an accepted serving-mesh link whose handshake ack has
 	// been written (guarded by Node.peersMu, not mu). Only then does
 	// buildServeMesh count the link as seated.
 	acked bool
 }
 
-func newPeer(conn net.Conn) *peer {
+// linkFlushTimeout bounds how long closing a link waits for its queued
+// frames to drain into a peer that stopped reading.
+const linkFlushTimeout = 5 * time.Second
+
+func newPeer(conn net.Conn, nm *nodeMetrics) *peer {
 	p := &peer{
 		conn:  conn,
+		nm:    nm,
 		subs:  make(map[uint64]chan frame),
 		stash: make(map[uint64][]frame),
+		wdone: make(chan struct{}),
 	}
+	p.wake = sync.NewCond(&p.wmu)
 	go p.readLoop()
+	go p.writeLoop()
 	return p
 }
 
 // readLoop pumps frames off the connection and routes them per epoch until
 // the link dies.
 func (p *peer) readLoop() {
-	// One buffer for the life of the link: parseRoundFrame copies every
-	// message payload out of the frame, so the frame bytes are dead the
+	// bufio's default 4 KiB holds a round frame's header and body, and the
+	// frames coalesced behind it, so they arrive in one read; a larger
+	// frame's body bypasses the buffer. A 64 KiB buffer measured no faster
+	// and made mesh set-up slower (it is allocated per link).
+	br := bufio.NewReader(p.conn)
+	// One buffer for the life of the link: parseRoundFrame copies the
+	// message payloads out of the frame, so the frame bytes are dead the
 	// moment it returns and the next read may overwrite them.
 	var buf []byte
 	for {
-		payload, err := wire.ReadFrameInto(p.conn, buf)
+		payload, err := wire.ReadFrameInto(br, buf)
 		buf = payload
 		if err != nil {
 			p.fail(err)
@@ -198,6 +234,74 @@ func (p *peer) readLoop() {
 			return
 		}
 	}
+}
+
+// send queues one round frame for the link's writer and returns without
+// touching the socket. Frames leave in the order they were queued. On a
+// failed link it returns the sticky failure; a frame over wire.MaxFrame is
+// refused alone and the link stays healthy.
+func (p *peer) send(flag byte, epoch, round uint64, msgs [][]byte) error {
+	p.wmu.Lock()
+	defer p.wmu.Unlock()
+	if p.werr != nil {
+		return p.werr
+	}
+	at := p.out.OpenFrame()
+	p.out.U8(flag)
+	p.out.Varint(epoch)
+	p.out.Varint(round)
+	p.out.Varint(uint64(len(msgs)))
+	for _, m := range msgs {
+		p.out.Varint(uint64(len(m)))
+		p.out.Raw(m)
+	}
+	if err := p.out.CloseFrame(at); err != nil {
+		return err
+	}
+	p.nout++
+	p.wake.Signal()
+	return nil
+}
+
+// writeLoop is the link's only writer once the handshake is done. Each
+// pass takes everything queued so far and writes it with one Write — no
+// lock is held across the write, so senders keep queueing behind it. It
+// exits when the link fails, or once a closing link's queue is drained.
+func (p *peer) writeLoop() {
+	defer close(p.wdone)
+	var spare wire.Writer
+	for {
+		p.wmu.Lock()
+		for p.nout == 0 && !p.closing && p.werr == nil {
+			p.wake.Wait()
+		}
+		if p.werr != nil || p.nout == 0 {
+			p.wmu.Unlock()
+			return
+		}
+		batch, frames := p.out, p.nout
+		p.out, p.nout = spare, 0
+		p.wmu.Unlock()
+
+		if _, err := p.conn.Write(batch.Bytes()); err != nil {
+			p.fail(err)
+			return
+		}
+		// Frames first, so a reader never sees more writes than frames.
+		p.nm.framesSent.Add(int64(frames))
+		p.nm.linkWrites.Inc()
+		batch.Reset()
+		spare = batch
+	}
+}
+
+// closeWriter asks the writer to flush the queue and stop; wdone closes
+// once it has.
+func (p *peer) closeWriter() {
+	p.wmu.Lock()
+	p.closing = true
+	p.wake.Signal()
+	p.wmu.Unlock()
 }
 
 // route delivers one frame to its epoch's feed, stashes it for an epoch not
@@ -233,10 +337,15 @@ func (p *peer) route(f frame) bool {
 // must be opened in increasing epoch order (the serving dispatch loop and
 // the frontend's ordinal assignment guarantee it); stashed frames of epochs
 // below the new subscription can never be claimed and are pruned.
+//
+// On a failed link, frames stashed before the failure are still handed
+// over, on a feed that is already closed: a one-shot peer may halt and
+// close its end before this node begins the epoch, and its halt frame must
+// count. With nothing stashed the subscription is refused.
 func (p *peer) subscribe(epoch uint64) (chan frame, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.err != nil {
+	if p.err != nil && len(p.stash[epoch]) == 0 {
 		return nil, p.err
 	}
 	ch := make(chan frame, subChanCap)
@@ -252,6 +361,10 @@ func (p *peer) subscribe(epoch uint64) (chan frame, error) {
 			p.nstash -= len(fs)
 			delete(p.stash, e)
 		}
+	}
+	if p.err != nil {
+		close(ch)
+		return ch, nil
 	}
 	p.subs[epoch] = ch
 	if !p.everSub || epoch > p.maxSub {
@@ -269,21 +382,27 @@ func (p *peer) unsubscribe(epoch uint64) {
 }
 
 // fail poisons the link: every live feed is closed (subscribers observe the
-// loss as a channel close) and future subscriptions are refused.
+// loss as a channel close), sends and subscriptions are refused — except
+// for epochs with frames stashed before the failure — and the writer stops,
+// dropping whatever is still queued.
 func (p *peer) fail(err error) {
 	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.err != nil {
-		return
+	if p.err == nil {
+		p.err = err
+		//knnlint:allow detsource -- poison fanout: every live feed closes; order is unobservable
+		for e, ch := range p.subs {
+			close(ch)
+			delete(p.subs, e)
+		}
 	}
-	p.err = err
-	//knnlint:allow detsource -- poison fanout: every live feed closes; order is unobservable
-	for e, ch := range p.subs {
-		close(ch)
-		delete(p.subs, e)
+	p.mu.Unlock()
+
+	p.wmu.Lock()
+	if p.werr == nil {
+		p.werr = err
 	}
-	p.stash = make(map[uint64][]frame)
-	p.nstash = 0
+	p.wake.Signal()
+	p.wmu.Unlock()
 }
 
 // cause returns why the link failed (nil while it is healthy).
@@ -300,7 +419,8 @@ func (p *peer) cause() error {
 // scheduler pipeline query epochs over one mesh.
 type Node struct {
 	id, k int
-	seed  uint64 // session seed (per-epoch seeds are derived from it)
+	seed  uint64       // session seed (per-epoch seeds are derived from it)
+	nm    *nodeMetrics // shared by every link the node owns
 
 	// peers is indexed by machine id (self entry nil). One-shot meshes fill
 	// it once and never touch it again; serving meshes mutate it — links of
@@ -318,7 +438,7 @@ type Node struct {
 // reader and returns it. Serving nodes call it from the mesh accept loop
 // and dialPeer; one-shot meshes never replace links.
 func (n *Node) installPeer(j int, conn net.Conn) *peer {
-	p := newPeer(conn)
+	p := newPeer(conn, n.nm)
 	n.peersMu.Lock()
 	old := n.peers[j]
 	n.peers[j] = p
@@ -362,10 +482,20 @@ func (n *Node) peerSnapshot() []*peer {
 	return append([]*peer(nil), n.peers...)
 }
 
-// closePeers shuts every mesh connection.
+// closePeers shuts every mesh link after flushing its send queue, so the
+// final halt frames of a one-shot node reach the peers still reading them.
+// The flushes run concurrently, each bounded by linkFlushTimeout.
 func (n *Node) closePeers() {
-	for j, p := range n.peerSnapshot() {
+	links := n.peerSnapshot()
+	for j, p := range links {
 		if j != n.id && p != nil {
+			p.conn.SetWriteDeadline(time.Now().Add(linkFlushTimeout))
+			p.closeWriter()
+		}
+	}
+	for j, p := range links {
+		if j != n.id && p != nil {
+			<-p.wdone
 			p.conn.Close()
 		}
 	}
@@ -373,11 +503,16 @@ func (n *Node) closePeers() {
 
 // newNode builds the mesh owner. conns may be nil for a serving node that
 // installs its links through the mesh accept loop and installPeer instead.
-func newNode(id, k int, seed uint64, conns []net.Conn) *Node {
+// nm receives the link counters; nil binds them to a private registry.
+func newNode(id, k int, seed uint64, conns []net.Conn, nm *nodeMetrics) *Node {
+	if nm == nil {
+		nm = newNodeMetrics(nil)
+	}
 	n := &Node{
 		id:    id,
 		k:     k,
 		seed:  seed,
+		nm:    nm,
 		peers: make([]*peer, k),
 	}
 	n.peersCond = sync.NewCond(&n.peersMu)
@@ -385,7 +520,7 @@ func newNode(id, k int, seed uint64, conns []net.Conn) *Node {
 		if conn == nil {
 			continue
 		}
-		n.peers[j] = newPeer(conn)
+		n.peers[j] = newPeer(conn, nm)
 	}
 	return n
 }
@@ -523,26 +658,24 @@ func (er *epochRun) EndRound() {
 	er.metrics.Rounds = er.round
 }
 
-// exchange writes this round's frames (with the given flag) to all live
-// peers concurrently, then reads one frame from each live peer, building the
-// next round's inbox.
+// exchange queues this round's frame (with the given flag) on every live
+// peer link, then reads one frame from each live peer, building the next
+// round's inbox. Feeds are read in ascending peer order, so the inbox is
+// ordered by sender exactly as the simulator delivers it.
 func (er *epochRun) exchange(flag byte) {
 	n := er.n
-	var wg sync.WaitGroup
-	writeErrs := make([]error, n.k)
+	sendErr, sendPeer := error(nil), -1
 	for j := 0; j < n.k; j++ {
 		if j == n.id || er.feeds[j] == nil || er.halted[j] {
 			continue
 		}
-		out := er.outbox[j]
-		er.outbox[j] = nil
-		wg.Add(1)
-		go func(j int, out [][]byte) {
-			defer wg.Done()
-			writeErrs[j] = writeRoundFrame(er.peers[j].conn, flag, er.epoch, uint64(er.round), out)
-		}(j, out)
+		if err := er.peers[j].send(flag, er.epoch, uint64(er.round), er.outbox[j]); err != nil && sendErr == nil {
+			sendErr, sendPeer = err, j
+		}
+		// send copied the payloads into the link's queue.
+		clear(er.outbox[j])
+		er.outbox[j] = er.outbox[j][:0]
 	}
-	// Read while writes drain to avoid mutual kernel-buffer deadlock.
 	var next []kmachine.Message
 	var remoteErr error
 	for j := 0; j < n.k; j++ {
@@ -559,8 +692,12 @@ func (er *epochRun) exchange(flag byte) {
 			// An error frame is an epoch-level abort, valid at any round:
 			// the peer failed at a different round than ours, or refused
 			// the epoch before running a single round (abortEpoch). The
-			// link itself is healthy — only this epoch dies.
-			remoteErr = fmt.Errorf("tcp: node %d %w %d", n.id, errPeerAbort, j)
+			// link itself is healthy — only this epoch dies. A broken link
+			// seen this round outranks the echo: it is what the frontend
+			// must act on.
+			if !IsTransportError(remoteErr) {
+				remoteErr = fmt.Errorf("tcp: node %d %w %d", n.id, errPeerAbort, j)
+			}
 			continue
 		}
 		if f.round != uint64(er.round) {
@@ -576,41 +713,30 @@ func (er *epochRun) exchange(flag byte) {
 			next = append(next, kmachine.Message{From: j, To: n.id, Payload: payload})
 		}
 	}
-	wg.Wait()
 	if remoteErr != nil {
 		panic(remoteErr) // recovered by execute
 	}
-	for j, err := range writeErrs {
-		// A write race against a peer that halted this very round (it
-		// closed its sockets after its halt frame) is benign; any other
-		// write failure is a real transport error.
-		if err != nil && !er.halted[j] {
-			n.dropPeer(j, er.peers[j])
-			panic(transportFault(j, fmt.Errorf("tcp: node %d write to %d: %w", n.id, j, err)))
-		}
+	// A send refused because the peer halted this very round (it closed
+	// its sockets after its halt frame) is benign; any other refusal is a
+	// real transport error.
+	if sendErr != nil && !er.halted[sendPeer] {
+		n.dropPeer(sendPeer, er.peers[sendPeer])
+		panic(transportFault(sendPeer, fmt.Errorf("tcp: node %d write to %d: %w", n.id, sendPeer, sendErr)))
 	}
-	sort.SliceStable(next, func(a, b int) bool { return next[a].From < next[b].From })
 	er.inbox = next
 }
 
-// exchangeHalt writes halt frames (write-only: a halted node never reads
+// exchangeHalt queues halt frames (write-only: a halted node never reads
 // again, matching the simulator's semantics).
 func (er *epochRun) exchangeHalt() {
-	var wg sync.WaitGroup
 	for j := 0; j < er.n.k; j++ {
 		if j == er.n.id || er.feeds[j] == nil || er.halted[j] {
 			continue
 		}
-		out := er.outbox[j]
+		// Ignore errors: the peer may have halted concurrently.
+		_ = er.peers[j].send(flagHalt, er.epoch, uint64(er.round), er.outbox[j])
 		er.outbox[j] = nil
-		wg.Add(1)
-		go func(j int, out [][]byte) {
-			defer wg.Done()
-			// Ignore errors: the peer may have halted concurrently.
-			_ = writeRoundFrame(er.peers[j].conn, flagHalt, er.epoch, uint64(er.round), out)
-		}(j, out)
 	}
-	wg.Wait()
 }
 
 // execute runs prog as this epoch, translating the final state into
@@ -629,7 +755,7 @@ func (er *epochRun) execute(prog kmachine.Program) (err error) {
 			// Best effort: tell the peers this epoch is gone here.
 			for j := range er.peers {
 				if j != er.n.id && er.feeds[j] != nil && !er.halted[j] {
-					_ = writeRoundFrame(er.peers[j].conn, flagErr, er.epoch, uint64(er.round), nil)
+					_ = er.peers[j].send(flagErr, er.epoch, uint64(er.round), nil)
 				}
 			}
 		}
@@ -664,7 +790,7 @@ func (n *Node) runEpoch(epoch, epochSeed uint64, prog kmachine.Program) (Metrics
 func (n *Node) abortEpoch(epoch uint64) {
 	for j, p := range n.peerSnapshot() {
 		if j != n.id && p != nil {
-			_ = writeRoundFrame(p.conn, flagErr, epoch, 0, nil)
+			_ = p.send(flagErr, epoch, 0, nil)
 		}
 	}
 }
@@ -683,35 +809,31 @@ func (n *Node) runProgram(prog kmachine.Program) (Metrics, error) {
 	return er.metrics, err
 }
 
-// writeRoundFrame serializes one round frame through a pooled writer. The
-// frame goes out as a single Write, so concurrent epochs sharing a mesh
-// link never interleave frames.
-func writeRoundFrame(conn net.Conn, flag byte, epoch, round uint64, msgs [][]byte) error {
-	w := wire.GetWriter()
-	defer wire.PutWriter(w)
-	w.BeginFrame()
-	w.U8(flag)
-	w.Varint(epoch)
-	w.Varint(round)
-	w.Varint(uint64(len(msgs)))
-	for _, m := range msgs {
-		w.Varint(uint64(len(m)))
-		w.Raw(m)
-	}
-	return w.EndFrame(conn)
-}
-
-// parseRoundFrame decodes one round frame payload.
+// parseRoundFrame decodes one round frame payload. The message region is
+// copied out of the (reused) read buffer once, and each payload is a
+// capacity-clipped sub-slice of that copy.
 func parseRoundFrame(payload []byte) (frame, error) {
 	r := wire.NewReader(payload)
 	f := frame{flag: r.U8(), epoch: r.Varint(), round: r.Varint()}
 	count := r.Varint()
+	if r.Err() != nil {
+		return frame{}, r.Err()
+	}
+	if count == 0 {
+		return f, nil
+	}
+	body := append([]byte(nil), r.Raw(r.Remaining())...)
+	r = wire.NewReader(body)
+	// Every message costs at least its one-byte length prefix, so the
+	// remaining bytes bound any honest count.
+	f.msgs = make([][]byte, 0, min(count, uint64(r.Remaining())))
 	for i := uint64(0); i < count; i++ {
 		size := r.Varint()
 		if r.Err() != nil || size > uint64(r.Remaining()) {
 			return frame{}, fmt.Errorf("tcp: corrupt frame")
 		}
-		f.msgs = append(f.msgs, append([]byte(nil), r.Raw(int(size))...))
+		m := r.Raw(int(size))
+		f.msgs = append(f.msgs, m[:size:size])
 	}
 	if r.Err() != nil {
 		return frame{}, r.Err()

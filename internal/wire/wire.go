@@ -314,9 +314,7 @@ func PutWriter(w *Writer) {
 // empty writer. Encode the payload with the ordinary Writer methods, then
 // flush header and payload in one Write with EndFrame — no copy, no
 // per-frame allocation when the writer is pooled.
-func (w *Writer) BeginFrame() {
-	w.buf = append(w.buf, 0, 0, 0, 0)
-}
+func (w *Writer) BeginFrame() { w.OpenFrame() }
 
 // EndFrame patches the length header reserved by BeginFrame and writes the
 // whole frame to dst in a single Write (one syscall on a socket, and no
@@ -332,6 +330,29 @@ func (w *Writer) EndFrame(dst io.Writer) error {
 	}
 	_, err = dst.Write(frame)
 	return err
+}
+
+// OpenFrame reserves a 4-byte length header at the writer's current end
+// and returns its offset. Unlike BeginFrame it need not start an empty
+// writer, so one writer can queue several back-to-back frames (a mesh
+// link's coalescing send queue); close each with CloseFrame.
+func (w *Writer) OpenFrame() int {
+	at := len(w.buf)
+	w.buf = append(w.buf, 0, 0, 0, 0)
+	return at
+}
+
+// CloseFrame patches the length header that OpenFrame reserved at offset
+// at. An oversized frame is dropped — the writer is cut back to at, so the
+// frames queued before it stay intact — and reported as an error.
+func (w *Writer) CloseFrame(at int) error {
+	payload := len(w.buf) - at - 4
+	if payload > MaxFrame {
+		w.buf = w.buf[:at]
+		return fmt.Errorf("wire: frame of %d bytes exceeds limit", payload)
+	}
+	binary.LittleEndian.PutUint32(w.buf[at:], uint32(payload))
+	return nil
 }
 
 // FinishFrame patches the length header reserved by BeginFrame and returns

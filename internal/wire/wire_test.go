@@ -305,3 +305,26 @@ func TestWriterGrowAndReset(t *testing.T) {
 		t.Errorf("Reset lost capacity: len %d cap %d", w.Len(), cap(w.Bytes()))
 	}
 }
+
+// TestWriterQueuesBackToBackFrames builds several frames in one writer with
+// OpenFrame/CloseFrame; a stream reader must see them as separate frames.
+func TestWriterQueuesBackToBackFrames(t *testing.T) {
+	var w Writer
+	for _, s := range []string{"one", "", "three"} {
+		at := w.OpenFrame()
+		w.Raw([]byte(s))
+		if err := w.CloseFrame(at); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r := bytes.NewReader(w.Bytes())
+	for _, want := range []string{"one", "", "three"} {
+		got, err := ReadFrame(r)
+		if err != nil || string(got) != want {
+			t.Fatalf("frame %q: got %q, %v", want, got, err)
+		}
+	}
+	if r.Len() != 0 {
+		t.Fatalf("%d bytes left over", r.Len())
+	}
+}

@@ -3,6 +3,7 @@ package distknn_test
 import (
 	"sync"
 	"testing"
+	"time"
 
 	"distknn"
 	"distknn/internal/testutil"
@@ -182,6 +183,78 @@ func TestQueryStatsConcurrentPrunedBatches(t *testing.T) {
 		if got.Contacts != want.Contacts || got.Rounds != want.Rounds ||
 			got.Messages != want.Messages || got.Bytes != want.Bytes {
 			t.Errorf("caller %d stats diverge: concurrent %+v, serial %+v", c, got, want)
+		}
+	}
+}
+
+// TestRemoteObsNodeMeshLinkCounters pins the node-side mesh counters on
+// full-scatter queries: every node serves each query's epoch, and its link
+// writers advance node_mesh_link_writes_total and
+// node_mesh_frames_sent_total. One write carries one or more round frames,
+// so frames never trail writes.
+func TestRemoteObsNodeMeshLinkCounters(t *testing.T) {
+	const (
+		k       = 3
+		perNode = 80
+		seed    = 37
+		queries = 10
+		l       = 4
+	)
+	fe, err := distknn.NewFrontendOptions("127.0.0.1:0", k, seed, distknn.FrontendOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- fe.Serve() }()
+	regs := make([]*distknn.Metrics, k)
+	var nodes sync.WaitGroup
+	for i := range regs {
+		regs[i] = distknn.NewMetrics()
+		nodes.Add(1)
+		go func() {
+			defer nodes.Done()
+			_ = distknn.ServeTypedNode(distknn.ScalarPoints(), fe.Addr(), "127.0.0.1:0",
+				distknn.PaperShards(seed, perNode), distknn.NodeOptions{Metrics: regs[i]})
+		}()
+	}
+	defer func() {
+		fe.Close()
+		<-served
+		nodes.Wait()
+	}()
+	for deadline := time.Now().Add(10 * time.Second); fe.Leader() < 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("cluster not ready within 10s")
+		}
+	}
+	rc, err := distknn.DialTypedCluster(distknn.ScalarPoints(), fe.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rc.Close()
+
+	before := make([]map[string]int64, k)
+	for i, reg := range regs {
+		before[i] = reg.Snapshot().Counters
+	}
+	for i := 0; i < queries; i++ {
+		if _, _, err := rc.KNN(distknn.Scalar(uint64(i)*7919), l); err != nil {
+			t.Fatalf("query %d: %v", i, err)
+		}
+	}
+	for i, reg := range regs {
+		after := reg.Snapshot().Counters
+		delta := func(name string) int64 { return after[name] - before[i][name] }
+		if got := delta("node_epochs_served_total"); got != queries {
+			t.Errorf("node %d: node_epochs_served_total advanced by %d, want %d", i, got, queries)
+		}
+		writes, frames := delta("node_mesh_link_writes_total"), delta("node_mesh_frames_sent_total")
+		if writes <= 0 || frames < writes {
+			t.Errorf("node %d: %d link writes carrying %d frames; want writes > 0 and frames >= writes", i, writes, frames)
+		}
+		if after["node_mesh_frames_sent_total"] < after["node_mesh_link_writes_total"] {
+			t.Errorf("node %d: cumulative frames %d trail writes %d", i,
+				after["node_mesh_frames_sent_total"], after["node_mesh_link_writes_total"])
 		}
 	}
 }
